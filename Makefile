@@ -2,9 +2,9 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 vet build test race bench bench-wal bench-htap bench-olcindex bench-index bench-schemes bench-server bench-prev bench-all fmt fmt-check
+.PHONY: check tier1 vet build test race perfbench-check bench bench-wal bench-htap bench-olcindex bench-index bench-schemes bench-server bench-prev bench-all fmt fmt-check
 
-check: fmt-check vet build race
+check: fmt-check vet build race perfbench-check
 
 # tier1 is the replication-aware spelling of the gate: the full -race
 # suite includes the 3-node kill-the-primary failover test
@@ -32,6 +32,11 @@ test:
 # the gate, not an optional extra.
 race:
 	$(GO) test -race ./...
+
+# perfbench/ is a Go module of its own (it replaces ipa with the
+# repository root), so ./... above skips it: vet and test it in place.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Perf evidence for the current PR: the replicated cluster. A 3-node
 # in-process cluster under 16-terminal TPC-B load over the wire

@@ -13,6 +13,7 @@ import (
 	"ipa/internal/core"
 	"ipa/internal/flash"
 	"ipa/internal/noftl"
+	"ipa/internal/wal"
 )
 
 // newTwoRegionRig builds a device with two independent regions so the
@@ -69,6 +70,92 @@ func seedTuples(t *testing.T, db *DB, tbl *Table, n int, tag byte) []core.RID {
 		t.Fatal(err)
 	}
 	return rids
+}
+
+// TestInsertSkipsLockedFreeSlot pins down, deterministically, the
+// collision TestConcurrentNoWaitLocking used to hit by chance: a slot an
+// insert would reuse is free on the page but its RID is still locked by
+// another transaction. An insert has no logical conflict with that
+// transaction, so it must take another slot instead of failing with
+// ErrLockConflict, and leave the locked slot free for the owner's undo.
+func TestInsertSkipsLockedFreeSlot(t *testing.T) {
+	db := newTwoRegionRig(t, 64)
+	tbl, err := db.CreateTable("t", "r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := seedTuples(t, db, tbl, 2, 's')
+	conflicts := db.lockConflicts.Load()
+
+	insert := func(tx *Tx, val string, beside core.RID) core.RID {
+		t.Helper()
+		rid, err := tbl.Insert(tx, []byte(val))
+		if err != nil {
+			t.Fatalf("insert beside locked free slot %v: %v", beside, err)
+		}
+		if rid.Page != beside.Page || rid == beside {
+			t.Fatalf("insert landed at %v, want another slot of page %d", rid, beside.Page)
+		}
+		return rid
+	}
+	mustRead := func(rid core.RID, want string) {
+		t.Helper()
+		got, err := tbl.Read(nil, rid)
+		if err != nil || string(got) != want {
+			t.Fatalf("read %v = %q, %v; want %q", rid, got, err, want)
+		}
+	}
+
+	// Tx A inserts and is caught mid-abort: Abort's rollback has freed
+	// the slot, but A has not yet released the RID's lock.
+	a := mustBegin(db, nil)
+	ridA, err := tbl.Insert(a, []byte("a aborting insert 0000"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.stateMu.RLock()
+	err = db.rollback(a.w, a.id, a.lastLSN.load())
+	db.stateMu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := mustBegin(db, nil)
+	ridB := insert(b, "b concurrent insert 00", ridA)
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// The rest of Abort.
+	db.log.Append(wal.Record{Type: wal.RecEnd, TxID: a.id})
+	a.status = txAborted
+	a.releaseLocks()
+	db.txMu.Lock()
+	delete(db.active, a.id)
+	db.txMu.Unlock()
+	mustRead(ridB, "b concurrent insert 00")
+	if _, err := tbl.Read(nil, ridA); !errors.Is(err, ErrNoTuple) {
+		t.Fatalf("aborted insert %v still readable: %v", ridA, err)
+	}
+
+	// Tx C deletes a committed tuple and holds its lock; tx D's insert
+	// must skip the freed slot so C's abort can put the tuple back.
+	c := mustBegin(db, nil)
+	if err := tbl.Delete(c, seeded[0]); err != nil {
+		t.Fatal(err)
+	}
+	d := mustBegin(db, nil)
+	ridD := insert(d, "d insert beside delete", seeded[0])
+	if err := c.Abort(); err != nil {
+		t.Fatalf("undo of the delete: %v", err)
+	}
+	if err := d.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	mustRead(seeded[0], "s seed 0000 value 0000000000")
+	mustRead(ridD, "d insert beside delete")
+
+	if got := db.lockConflicts.Load(); got != conflicts {
+		t.Fatalf("inserts counted %d lock conflicts, want none", got-conflicts)
+	}
 }
 
 // TestConcurrentNoWaitLocking runs ≥8 goroutines doing concurrent

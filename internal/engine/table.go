@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"ipa/internal/buffer"
 	"ipa/internal/core"
 	"ipa/internal/page"
 	"ipa/internal/sim"
@@ -121,27 +122,8 @@ func (t *Table) Insert(tx *Tx, data []byte) (core.RID, error) {
 	t.pages = append(t.pages, id)
 	t.last = id
 	fr.Latch()
-	slot, err := pg.Insert(data)
+	rid, err := t.insertLatched(tx, fr, pg, data)
 	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
-		return core.RID{}, err
-	}
-	rid := core.RID{Page: id, Slot: uint16(slot)}
-	if err := tx.lockRID(rid); err != nil {
-		// A fresh slot can only collide with a deleted-but-locked tuple.
-		pg.Delete(slot)
-		fr.Unlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
-		return core.RID{}, err
-	}
-	if db.vs != nil {
-		db.vs.installPending(rid, tx.id, nil, true)
-	}
-	lsn := tx.logUpdate(id, wal.OpInsert, slot, nil, data)
-	pg.SetLSN(lsn)
-	fr.Unlatch()
-	if err := db.pool.Unpin(tx.w, fr, true, lsn); err != nil {
 		return core.RID{}, err
 	}
 	return rid, db.maybeReclaim(tx.w)
@@ -162,15 +144,15 @@ func (t *Table) insertInto(tx *Tx, id core.PageID, data []byte) (core.RID, error
 		db.pool.Unpin(tx.w, fr, false, 0)
 		return core.RID{}, err
 	}
-	slot, err := pg.Insert(data)
+	return t.insertLatched(tx, fr, pg, data)
+}
+
+// insertLatched places and logs a tuple on a pinned, latched page, then
+// releases latch and pin.
+func (t *Table) insertLatched(tx *Tx, fr *buffer.Frame, pg *page.Page, data []byte) (core.RID, error) {
+	db := t.db
+	rid, err := t.placeTuple(tx, pg, data)
 	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
-		return core.RID{}, err
-	}
-	rid := core.RID{Page: id, Slot: uint16(slot)}
-	if err := tx.lockRID(rid); err != nil {
-		pg.Delete(slot)
 		fr.Unlatch()
 		db.pool.Unpin(tx.w, fr, false, 0)
 		return core.RID{}, err
@@ -178,13 +160,37 @@ func (t *Table) insertInto(tx *Tx, id core.PageID, data []byte) (core.RID, error
 	if db.vs != nil {
 		db.vs.installPending(rid, tx.id, nil, true)
 	}
-	lsn := tx.logUpdate(id, wal.OpInsert, slot, nil, data)
+	lsn := tx.logUpdate(rid.Page, wal.OpInsert, int(rid.Slot), nil, data)
 	pg.SetLSN(lsn)
 	fr.Unlatch()
 	if err := db.pool.Unpin(tx.w, fr, true, lsn); err != nil {
 		return core.RID{}, err
 	}
 	return rid, nil
+}
+
+// placeTuple stores data on the page under a fresh RID lock. The slot
+// page.Insert fills can be free on the page yet still locked: a
+// rollback or an uncommitted delete frees the slot before its owner
+// releases the RID's lock at abort/commit. An insert has no logical
+// conflict with that owner, so it moves on to the next free slot (or
+// one past the slot table), leaving the locked slot for the owner's
+// undo. Returns page.ErrPageFull when no unlocked slot fits.
+func (t *Table) placeTuple(tx *Tx, pg *page.Page, data []byte) (core.RID, error) {
+	slot, err := pg.Insert(data)
+	for err == nil {
+		rid := core.RID{Page: pg.ID(), Slot: uint16(slot)}
+		if ok, fresh, _ := t.db.locks.acquire(rid, tx.id); ok {
+			if fresh {
+				tx.held = append(tx.held, rid)
+			}
+			return rid, nil
+		}
+		pg.Delete(slot)
+		slot = pg.NextFreeSlot(slot)
+		err = pg.InsertAt(slot, data)
+	}
+	return core.RID{}, err
 }
 
 // setNext updates the heap chain pointer of a page (metadata-only

@@ -267,15 +267,10 @@ func (p *Page) Insert(data []byte) (int, error) {
 	if len(data) == 0 || len(data) > p.l.BodyCapacity()-SlotSize {
 		return 0, fmt.Errorf("%w: %d bytes", ErrTupleLarge, len(data))
 	}
-	slot := -1
-	for i := 0; i < p.SlotCount(); i++ {
-		if _, ln := p.slot(i); ln == 0 {
-			slot = i
-			break
-		}
-	}
+	slot := p.NextFreeSlot(-1)
+	grow := slot == p.SlotCount()
 	need := len(data)
-	if slot < 0 {
+	if grow {
 		need += SlotSize
 	}
 	if p.FreeSpace() < need {
@@ -289,12 +284,23 @@ func (p *Page) Insert(data []byte) (int, error) {
 	off := p.freeLow()
 	copy(p.buf[off:], data)
 	p.setFreeLow(off + len(data))
-	if slot < 0 {
-		slot = p.SlotCount()
+	if grow {
 		p.setSlotCount(slot + 1)
 	}
 	p.setSlot(slot, off, len(data))
 	return slot, nil
+}
+
+// NextFreeSlot returns the first slot after the given one that InsertAt
+// can fill: a deleted slot, or the first one past the slot table.
+func (p *Page) NextFreeSlot(after int) int {
+	i := after + 1
+	for ; i < p.SlotCount(); i++ {
+		if _, ln := p.slot(i); ln == 0 {
+			break
+		}
+	}
+	return i
 }
 
 // InsertAt places a tuple at a specific slot number — required by

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,6 +145,7 @@ type Node struct {
 	voteBar     core.LSN           // while head < voteBar: abstain from elections
 	acks        map[uint64]peerAck // leader: per-follower progress
 	shipStop    chan struct{}      // per-leadership shipper kill switch
+	bells       []chan struct{}    // per-leadership shipper doorbells (cap 1), rung by WaitCommitted
 	stopped     bool
 
 	shipWG sync.WaitGroup
@@ -157,6 +157,8 @@ type Node struct {
 	recordsShipped atomic.Uint64
 	snapsSent      atomic.Uint64
 	snapsRecv      atomic.Uint64
+	shipWakeups    atomic.Uint64 // per leadership, see Stats
+	heartbeats     atomic.Uint64 // per leadership, see Stats
 }
 
 // NewNode wires a node over an already-open replicated engine and
@@ -259,6 +261,7 @@ func (n *Node) WaitCommitted(lsn core.LSN) error {
 	deadline := time.Now().Add(n.cfg.CommitWait)
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	rung := false
 	for {
 		if n.role != RoleLeader {
 			return ErrNotLeader
@@ -272,6 +275,19 @@ func (n *Node) WaitCommitted(lsn core.LSN) error {
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("repl: no quorum ack for lsn %d within %v", lsn, n.cfg.CommitWait)
+		}
+		if !rung {
+			// The commit record is published (the engine flushed it),
+			// so one ring lets every caught-up shipper read it — and
+			// the rest of its transaction — in one batch. A shipper
+			// busy on an ack finds the ring buffered when it is done.
+			for _, bell := range n.bells {
+				select {
+				case bell <- struct{}{}:
+				default:
+				}
+			}
+			rung = true
 		}
 		n.cond.Wait()
 	}
@@ -381,20 +397,27 @@ func (n *Node) appendPayload(term uint64, recs []wal.Record) []byte {
 // --- leader commit & ack tracking ------------------------------------
 
 // recomputeCommitLocked advances the quorum horizon: the highest LSN
-// held by a majority (leader head counts as one member). Monotone.
+// held by a majority (leader head counts as one member). Monotone. It
+// runs on every commit wait and every ack, so it works in a stack
+// buffer (only clusters above 8 members spill to the heap).
 func (n *Node) recomputeCommitLocked() {
 	if n.role != RoleLeader {
 		return
 	}
-	lsns := make([]core.LSN, 0, len(n.cfg.Peers))
-	lsns = append(lsns, n.db.WAL().Head())
+	var buf [8]core.LSN
+	lsns := append(buf[:0], n.db.WAL().Head())
 	for id := range n.cfg.Peers {
 		if id == n.cfg.NodeID {
 			continue
 		}
 		lsns = append(lsns, n.acks[id].lsn)
 	}
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] > lsns[j] })
+	// Insertion sort, descending: a handful of members.
+	for i := 1; i < len(lsns); i++ {
+		for j := i; j > 0 && lsns[j] > lsns[j-1]; j-- {
+			lsns[j], lsns[j-1] = lsns[j-1], lsns[j]
+		}
+	}
 	if q := lsns[len(lsns)/2]; q > n.commit {
 		n.commit = q
 		n.cond.Broadcast()
@@ -447,14 +470,18 @@ func (n *Node) becomeLeaderLocked(term uint64) {
 	n.lastContact = time.Now()
 	n.acks = make(map[uint64]peerAck)
 	n.commit = 0
+	n.shipWakeups.Store(0)
+	n.heartbeats.Store(0)
 	stop := make(chan struct{})
 	n.shipStop = stop
 	for id, addr := range n.cfg.Peers {
 		if id == n.cfg.NodeID {
 			continue
 		}
+		bell := make(chan struct{}, 1)
+		n.bells = append(n.bells, bell)
 		n.shipWG.Add(1)
-		go n.runShipper(term, id, addr, stop)
+		go n.runShipper(term, id, addr, stop, bell)
 	}
 	n.recomputeCommitLocked()
 }
@@ -464,6 +491,7 @@ func (n *Node) stopShippersLocked() {
 		close(n.shipStop)
 		n.shipStop = nil
 	}
+	n.bells = nil
 	n.db.WAL().SetRetainFloor(0)
 }
 
@@ -774,7 +802,11 @@ type PeerStats struct {
 	LagBytes uint64 `json:"lag_bytes"`
 }
 
-// Stats is the node's replication snapshot for /stats.
+// Stats is the node's replication snapshot for /stats. ShipWakeups and
+// Heartbeats count the current (or last) leadership's shipper wake-ups:
+// caught-up shippers woken by a COMMIT's doorbell, and empty heartbeat
+// appends sent because an interval passed with nothing to ship. Their
+// ratio tells whether commits or the heartbeat drive shipping.
 type Stats struct {
 	NodeID        uint64               `json:"node_id"`
 	Role          string               `json:"role"`
@@ -789,6 +821,8 @@ type Stats struct {
 	RecordsSent   uint64               `json:"records_sent"`
 	SnapshotsSent uint64               `json:"snapshots_sent"`
 	SnapshotsRecv uint64               `json:"snapshots_received"`
+	ShipWakeups   uint64               `json:"ship_wakeups_commit"`
+	Heartbeats    uint64               `json:"heartbeats_sent"`
 	Peers         map[string]PeerStats `json:"peers,omitempty"`
 }
 
@@ -815,6 +849,8 @@ func (n *Node) Stats() Stats {
 		RecordsSent:   n.recordsShipped.Load(),
 		SnapshotsSent: n.snapsSent.Load(),
 		SnapshotsRecv: n.snapsRecv.Load(),
+		ShipWakeups:   n.shipWakeups.Load(),
+		Heartbeats:    n.heartbeats.Load(),
 	}
 	if n.role == RoleLeader && len(n.acks) > 0 {
 		s.Peers = make(map[string]PeerStats, len(n.acks))

@@ -18,6 +18,11 @@ import (
 // kept in flight per follower so shipping overlaps the follower's
 // replay without letting a slow follower absorb unbounded leader
 // memory.
+//
+// Shipping is event-driven. A caught-up shipper blocks until a COMMIT
+// waiting for quorum rings its doorbell (WaitCommitted), its next
+// heartbeat falls due, or the leadership ends. Records no COMMIT waits
+// on (preload, aborts, promotion CLRs) ship at that heartbeat.
 
 // sleepOr sleeps for d, returning false early if stop closes.
 func sleepOr(stop chan struct{}, d time.Duration) bool {
@@ -39,7 +44,7 @@ func (n *Node) shipClientOpts() client.Options {
 
 // runShipper owns one follower for one leadership: dial, stream,
 // re-dial on error, until deposed or stopped.
-func (n *Node) runShipper(term, peerID uint64, addr string, stop chan struct{}) {
+func (n *Node) runShipper(term, peerID uint64, addr string, stop, bell chan struct{}) {
 	defer n.shipWG.Done()
 	w := n.cfg.TL.NewWorker()
 	for {
@@ -59,7 +64,7 @@ func (n *Node) runShipper(term, peerID uint64, addr string, stop chan struct{}) 
 			}
 			continue
 		}
-		n.shipTo(term, peerID, c, w, stop)
+		n.shipTo(term, peerID, c, w, stop, bell)
 		c.Close()
 		n.setConnected(peerID, false)
 		if !sleepOr(stop, n.cfg.HeartbeatInterval/2) {
@@ -76,7 +81,7 @@ type inflightBatch struct {
 
 // shipTo runs one connection's stream. It returns on any error (the
 // outer loop re-dials), on step-down, or on stop.
-func (n *Node) shipTo(term, peerID uint64, c *client.Conn, w *sim.Worker, stop chan struct{}) {
+func (n *Node) shipTo(term, peerID uint64, c *client.Conn, w *sim.Worker, stop, bell chan struct{}) {
 	log := n.db.WAL()
 
 	// Handshake: learn the follower's position and verify its log is a
@@ -108,6 +113,9 @@ func (n *Node) shipTo(term, peerID uint64, c *client.Conn, w *sim.Worker, stop c
 
 	var window []inflightBatch
 	lastSend := time.Now()
+	heartbeat := time.NewTimer(n.cfg.HeartbeatInterval)
+	defer heartbeat.Stop()
+	heartbeatDue := false
 	for {
 		select {
 		case <-stop:
@@ -151,21 +159,38 @@ func (n *Node) shipTo(term, peerID uint64, c *client.Conn, w *sim.Worker, stop c
 		}
 
 		if len(window) == 0 {
-			// Caught up: heartbeat on the interval to assert
-			// leadership and refresh the follower's election timer.
-			if time.Since(lastSend) >= n.cfg.HeartbeatInterval {
-				hf, herr := c.Do(wire.OpReplAppend, n.appendPayload(term, nil))
-				if herr != nil {
+			if !heartbeatDue {
+				// Caught up. The doorbell's one-slot buffer keeps a ring
+				// that lands between the empty read above and here.
+				select {
+				case <-stop:
 					return
+				case <-bell:
+					n.shipWakeups.Add(1)
+				case <-heartbeat.C:
+					heartbeatDue = true
 				}
-				if !n.handleAck(term, peerID, c, w, &cursor, hf.Payload, 0) {
-					return
-				}
-				lastSend = time.Now()
+				continue
 			}
-			if !sleepOr(stop, time.Millisecond) {
+			// The timer fired and the fill above found nothing to ship.
+			// Unless a batch went out meanwhile, send an empty append to
+			// assert leadership and refresh the follower's election
+			// timer; either way, re-arm for the next interval.
+			heartbeatDue = false
+			if idle := time.Since(lastSend); idle < n.cfg.HeartbeatInterval {
+				heartbeat.Reset(n.cfg.HeartbeatInterval - idle)
+				continue
+			}
+			hf, herr := c.Do(wire.OpReplAppend, n.appendPayload(term, nil))
+			if herr != nil {
 				return
 			}
+			if !n.handleAck(term, peerID, c, w, &cursor, hf.Payload, 0) {
+				return
+			}
+			n.heartbeats.Add(1)
+			lastSend = time.Now()
+			heartbeat.Reset(n.cfg.HeartbeatInterval)
 			continue
 		}
 
