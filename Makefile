@@ -2,7 +2,7 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 vet build test race perfbench-check bench bench-wal bench-htap bench-olcindex bench-index bench-schemes bench-server bench-prev bench-all fmt fmt-check
+.PHONY: check tier1 vet build test race perfbench-check bench bench-wal bench-htap bench-index bench-schemes bench-server bench-prev bench-all fmt fmt-check
 
 check: fmt-check vet build race perfbench-check
 
@@ -80,28 +80,14 @@ HTAP_BENCH_OUT ?= BENCH_PR8.json
 bench-htap:
 	$(GO) run ./cmd/ipabench -exp htap -out $(HTAP_BENCH_OUT)
 
-# The index-latching comparison from the previous PR (evidence in
-# BENCH_PR7.json): the same bare-index operation stream (point lookups
-# vs scattered inserts over a warm pool) run under the coarse tree-wide
-# latch and optimistic lock coupling, across 1/4/16 workers and
-# read95/mixed50 mixes, recording simulated ns/op plus OLC restart and
-# latch-wait counters as JSON. Fully deterministic, so one pass is the
-# measurement.
-OLC_BENCH_OUT ?= BENCH_PR7.json
-bench-olcindex:
-	$(GO) run ./cmd/ipabench -exp index -out $(OLC_BENCH_OUT)
-
-# Wall-clock flavour of the same comparison plus the full-stack YCSB
-# context runs (tables, transactions, WAL, real terminal goroutines):
-# the Go benchmark harness emits sim ns/op, wallns/op, restarts/op and
-# latchwaits/op per (tree, mix, workers) cell as JSON. Includes the
-# snapscan-zipf mix (read80/scan20 Zipfian, scans resolved through the
-# MVCC version store at a pinned snapshot LSN).
+# Full-stack YCSB runs over the B+tree (tables, transactions, WAL, real
+# terminal goroutines): the Go benchmark harness emits sim ns/op,
+# wallns/op, restarts/op and latchwaits/op per (mix, workers) cell as
+# JSON. Includes the snapscan-zipf mix (read80/scan20 Zipfian, scans
+# resolved through the MVCC version store at a pinned snapshot LSN).
 INDEX_BENCH_OUT ?= BENCH_INDEX.json
 bench-index:
 	rm -f /tmp/bench_index_raw.txt
-	$(GO) test -run xxx -bench 'BenchmarkIndexOps' -benchtime 20000x \
-		./internal/workload/ >> /tmp/bench_index_raw.txt
 	$(GO) test -run xxx -bench 'BenchmarkIndexYCSB' -benchtime 2000x \
 		./internal/workload/ >> /tmp/bench_index_raw.txt
 	cat /tmp/bench_index_raw.txt

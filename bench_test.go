@@ -60,10 +60,6 @@ func BenchmarkFig10(b *testing.B)   { benchTable(b, "fig10") }
 // (erase counts and peak block wear, [0×0] vs [2×4]).
 func BenchmarkLongevity(b *testing.B) { benchTable(b, "longevity") }
 
-// BenchmarkIndexExperiment regenerates the index-latching comparison
-// (coarse RW mutex vs optimistic lock coupling, BENCH_PR7).
-func BenchmarkIndexExperiment(b *testing.B) { benchTable(b, "index") }
-
 // --- micro-benchmarks of the hot IPA paths ----------------------------
 
 // BenchmarkDeltaEncodeDecode measures one delta-record round trip.

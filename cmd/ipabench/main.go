@@ -28,7 +28,7 @@ var ids = []string{
 	"table1", "table2", "table3", "table4", "table5", "table6",
 	"table7", "table8", "table9", "table10", "table11",
 	"fig1", "fig6", "fig7", "fig8", "fig9", "fig10", "longevity",
-	"schemes", "index", "htap", "repl",
+	"schemes", "htap", "repl",
 }
 
 func main() {
@@ -39,7 +39,7 @@ func main() {
 	conns := flag.Int("conns", 8, "client connections for -net")
 	txPerConn := flag.Int("tx", 500, "transactions per connection for -net")
 	seed := flag.Int64("seed", 42, "rng seed for -net")
-	out := flag.String("out", "", "also write the experiment's JSON result to this file (schemes and index only)")
+	out := flag.String("out", "", "also write the experiment's JSON result to this file (schemes, htap and repl only)")
 	flag.Parse()
 
 	if *netAddr != "" {
@@ -80,12 +80,6 @@ func main() {
 				table = experiments.SchemesTable(rows)
 				data, err = experiments.SchemesJSON(p, rows)
 			}
-		case "index":
-			var rows []experiments.IndexRow
-			if rows, err = experiments.RunIndexBench(p); err == nil {
-				table = experiments.IndexTable(rows)
-				data, err = experiments.IndexJSON(p, rows)
-			}
 		case "htap":
 			var rows []experiments.HTAPRow
 			if rows, err = experiments.RunHTAPBench(p); err == nil {
@@ -100,7 +94,7 @@ func main() {
 				data, err = experiments.ReplJSON(p, rows, sum)
 			}
 		default:
-			fmt.Fprintln(os.Stderr, "ipabench: -out is only supported with -exp schemes, index, htap or repl")
+			fmt.Fprintln(os.Stderr, "ipabench: -out is only supported with -exp schemes, htap or repl")
 			os.Exit(2)
 		}
 		if err != nil {

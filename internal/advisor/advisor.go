@@ -194,12 +194,6 @@ type SchemeRecommendation struct {
 	Rationale string
 }
 
-// Recommendation is the advisor's output.
-//
-// Deprecated: use SchemeRecommendation; this alias keeps old callers
-// compiling.
-type Recommendation = SchemeRecommendation
-
 // Options parameterises a recommendation.
 type Options struct {
 	// Goal selects the optimisation target (zero value: Performance).
@@ -210,14 +204,6 @@ type Options struct {
 	// PageSize is the database page size, used for space-overhead
 	// reporting and the PDL small-differential threshold.
 	PageSize int
-}
-
-// Recommend analyses a profile and proposes an [N×M] scheme.
-//
-// Deprecated: use RecommendScheme with an Options struct; the
-// positional signature is frozen and will not grow new parameters.
-func Recommend(p *Profile, goal Goal, maxN, pageSize int) (SchemeRecommendation, error) {
-	return RecommendScheme(p, Options{Goal: goal, MaxN: maxN, PageSize: pageSize})
 }
 
 // RecommendScheme analyses a profile and proposes an [N×M] scheme for

@@ -29,7 +29,7 @@ func tpccProfile() *Profile {
 }
 
 func TestRecommendPerformance(t *testing.T) {
-	rec, err := Recommend(tpccProfile(), Performance, 4, 4096)
+	rec, err := RecommendScheme(tpccProfile(), Options{Goal: Performance, MaxN: 4, PageSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +53,9 @@ func TestRecommendPerformance(t *testing.T) {
 
 func TestRecommendGoalsDiffer(t *testing.T) {
 	p := tpccProfile()
-	perf, _ := Recommend(p, Performance, 4, 4096)
-	lon, _ := Recommend(p, Longevity, 4, 4096)
-	spc, _ := Recommend(p, Space, 4, 4096)
+	perf, _ := RecommendScheme(p, Options{Goal: Performance, MaxN: 4, PageSize: 4096})
+	lon, _ := RecommendScheme(p, Options{Goal: Longevity, MaxN: 4, PageSize: 4096})
+	spc, _ := RecommendScheme(p, Options{Goal: Space, MaxN: 4, PageSize: 4096})
 	if lon.Scheme.N != 4 {
 		t.Errorf("longevity N = %d, want maxN", lon.Scheme.N)
 	}
@@ -70,7 +70,7 @@ func TestRecommendGoalsDiffer(t *testing.T) {
 }
 
 func TestRecommendEmptyProfile(t *testing.T) {
-	if _, err := Recommend(&Profile{}, Performance, 3, 4096); err == nil {
+	if _, err := RecommendScheme(&Profile{}, Options{Goal: Performance, MaxN: 3, PageSize: 4096}); err == nil {
 		t.Error("empty profile accepted")
 	}
 }
@@ -80,7 +80,7 @@ func TestRecommendClamps(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.Add(4000, 12) // huge updates
 	}
-	rec, err := Recommend(p, Longevity, 0, 4096)
+	rec, err := RecommendScheme(p, Options{Goal: Longevity, MaxN: 0, PageSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +119,8 @@ func TestFromLog(t *testing.T) {
 	if !seen[3] || !seen[2] {
 		t.Errorf("net samples = %v", p.Net)
 	}
-	// The profile feeds Recommend end-to-end.
-	if _, err := Recommend(p, Space, 3, 4096); err != nil {
+	// The profile feeds RecommendScheme end-to-end.
+	if _, err := RecommendScheme(p, Options{Goal: Space, MaxN: 3, PageSize: 4096}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -90,10 +90,12 @@ type Frame struct {
 	// ver is the frame's optimistic-lock-coupling version word, stored
 	// beside the pin so the two hot fields share a frame, not a shard.
 	// The upper 48 bits hold a pool-wide binding epoch stamped whenever
-	// the frame is (re)bound to a page id, so a version read against one
-	// binding can never validate against another; the low 16 bits count
-	// in-place modifications, bumped by content mutators *before* they
-	// release their exclusive latch. Flushes leave ver alone: they copy
+	// the frame is bound to a page id and again whenever it loses one
+	// (unbindLocked), so a version read against one binding can never
+	// validate against another, nor against a frame that sits free
+	// after its page moved elsewhere; the low 16 bits count in-place
+	// modifications, bumped by content mutators *before* they release
+	// their exclusive latch. Flushes leave ver alone: they copy
 	// the logical image out but do not change it.
 	ver atomic.Uint64
 
@@ -144,8 +146,8 @@ func (fr *Frame) Version() uint64 { return fr.ver.Load() }
 func (fr *Frame) BumpVersion() { fr.ver.Add(1) }
 
 // stampVersion installs a fresh binding epoch when the frame is bound
-// to a (new) page id, invalidating every version sampled against the
-// previous binding.
+// to a (new) page id or loses its page, invalidating every version
+// sampled against the previous binding.
 func (fr *Frame) stampVersion(epoch uint64) { fr.ver.Store(epoch << 16) }
 
 // Config sizes the pool and its cleaning strategy.
@@ -432,9 +434,8 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 		fr.loading = false
 		if err != nil {
 			fr.loadErr = err
-			delete(s.table, id)
+			p.unbindLocked(s, fr)
 			fr.pin-- // our pin; waiters drop theirs when they see loadErr
-			fr.ID = core.InvalidPageID
 			close(fr.loadDone)
 			s.mu.Unlock()
 			return nil, err
@@ -647,9 +648,8 @@ func (p *Pool) stealFrame(to *poolShard) *Frame {
 				continue
 			}
 			if fr.ID != core.InvalidPageID {
-				delete(s.table, fr.ID)
+				p.unbindLocked(s, fr)
 				s.stats.evictions.Add(1)
-				fr.ID = core.InvalidPageID
 			}
 			fr.New = false
 			fr.Flushed = nil
@@ -711,9 +711,8 @@ func (p *Pool) victimLocked(s *poolShard, w *sim.Worker) (*Frame, error) {
 			return fr, nil
 		}
 		if !fr.Dirty {
-			delete(s.table, fr.ID)
+			p.unbindLocked(s, fr)
 			s.stats.evictions.Add(1)
-			fr.ID = core.InvalidPageID
 			return fr, nil
 		}
 		// Dirty victim: flush it outside the shard mutex, then re-check —
@@ -743,9 +742,8 @@ func (p *Pool) victimLocked(s *poolShard, w *sim.Worker) (*Frame, error) {
 		}
 		s.stats.evictionFlush.Add(1)
 		if fr.pin == 0 && !fr.Dirty && !fr.loading {
-			delete(s.table, fr.ID)
+			p.unbindLocked(s, fr)
 			s.stats.evictions.Add(1)
-			fr.ID = core.InvalidPageID
 			return fr, nil
 		}
 	}
@@ -917,11 +915,24 @@ func (p *Pool) Drop(id core.PageID) error {
 		fr.Dirty = false
 		s.dirty.Add(-1)
 	}
-	delete(s.table, id)
-	fr.ID = core.InvalidPageID
+	p.unbindLocked(s, fr)
 	fr.New = false
 	fr.Flushed = nil
 	return nil
+}
+
+// unbindLocked removes fr's page from shard s's table and stamps a fresh
+// binding epoch, called with s.mu held. Every path that takes a page
+// out of a frame goes through it, including those that leave the frame
+// free (a victim the raced miss path of Get/GetNew gives back, a stolen
+// frame, a dropped page): an OLC reader that sampled the old version
+// and unpinned the frame must fail validation even though no rebind
+// follows, since the page may meanwhile be reloaded into another frame
+// and changed there.
+func (p *Pool) unbindLocked(s *poolShard, fr *Frame) {
+	delete(s.table, fr.ID)
+	fr.ID = core.InvalidPageID
+	fr.stampVersion(p.verEpoch.Add(1))
 }
 
 // Contains reports whether the page is resident.

@@ -380,3 +380,84 @@ func TestCleanNotifyReplacesInlineCleaner(t *testing.T) {
 		t.Errorf("dirty fraction %v above threshold after CleanerPass", p.DirtyFraction())
 	}
 }
+
+// TestUnbindStampsFreshEpoch pins the OLC contract for frames that lose
+// their page without being rebound: a version sampled while the page was
+// resident must not validate afterwards. An index descent that samples a
+// parent's version and unpins it relies on this — the page may be
+// evicted, reloaded into another frame and split there while the old
+// frame sits free (a dropped page, a stolen frame, a clean victim the
+// raced miss path hands back).
+func TestUnbindStampsFreshEpoch(t *testing.T) {
+	// resident pins page id as a clean frame and returns it unpinned
+	// together with its current version.
+	resident := func(t *testing.T, p *Pool, id core.PageID) (*Frame, uint64) {
+		t.Helper()
+		fr, err := p.GetNew(nil, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := fr.Version()
+		if err := p.Unpin(nil, fr, false, 0); err != nil {
+			t.Fatal(err)
+		}
+		return fr, v
+	}
+	t.Run("drop", func(t *testing.T) {
+		p := newPool(t, 2, newFakeStore(64))
+		fr, v := resident(t, p, 1)
+		if err := p.Drop(1); err != nil {
+			t.Fatal(err)
+		}
+		if fr.Version() == v {
+			t.Errorf("Drop kept version %#x", v)
+		}
+	})
+	t.Run("clean victim", func(t *testing.T) {
+		p := newPool(t, 1, newFakeStore(64))
+		fr, v := resident(t, p, 1)
+		s := p.shardOf(1)
+		s.mu.Lock()
+		victim, err := p.victimLocked(s, nil)
+		s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if victim != fr || fr.ID != core.InvalidPageID {
+			t.Fatalf("victim %p id %d, want the frame of page 1 freed", victim, fr.ID)
+		}
+		if fr.Version() == v {
+			t.Errorf("eviction left the free frame at version %#x", v)
+		}
+	})
+	t.Run("steal", func(t *testing.T) {
+		p, err := New(Config{Frames: 4, PageSize: 64, Shards: 2, DirtyThreshold: 2.0}, newFakeStore(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := core.PageID(1)
+		for p.shardOf(id) != &p.shards[0] {
+			id++
+		}
+		fr, v := resident(t, p, id)
+		// Occupy shard 0's other frame so the thief can only take fr.
+		other := id + 1
+		for p.shardOf(other) != &p.shards[0] {
+			other++
+		}
+		pinned, err := p.GetNew(nil, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.stealFrame(&p.shards[1]); got != fr {
+			t.Fatalf("stole %p, want the frame of page %d", got, id)
+		}
+		if p.Contains(id) {
+			t.Errorf("stolen page %d still resident", id)
+		}
+		if fr.Version() == v {
+			t.Errorf("steal kept version %#x", v)
+		}
+		p.Unpin(nil, pinned, false, 0)
+	})
+}

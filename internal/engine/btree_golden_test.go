@@ -10,12 +10,12 @@ import (
 	"ipa/internal/core"
 )
 
-// goldenTreeFingerprint hashes every reachable node of the coarse tree —
+// goldenTreeFingerprint hashes every reachable node of the tree —
 // page id, flags, entry count, entries, leaf chaining — plus the Range
 // iteration order, into one stable hex digest. Any change to the on-page
 // node layout, the split algorithm, allocation order, or iteration order
 // changes the digest.
-func goldenTreeFingerprint(t *testing.T, ix *CoarseIndex) string {
+func goldenTreeFingerprint(t *testing.T, ix *OLCIndex) string {
 	t.Helper()
 	db := ix.db
 	h := fnv.New64a()
@@ -32,7 +32,7 @@ func goldenTreeFingerprint(t *testing.T, ix *CoarseIndex) string {
 		if err != nil {
 			t.Fatalf("get node %d: %v", id, err)
 		}
-		n, err := ix.node(fr)
+		n, err := attachNode(ix.st, fr)
 		if err != nil {
 			t.Fatalf("attach node %d: %v", id, err)
 		}
@@ -70,13 +70,14 @@ func goldenTreeFingerprint(t *testing.T, ix *CoarseIndex) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestCoarseTreeGoldenLayout pins the coarse tree's physical page layout
-// and iteration order to the digest captured before the index layer grew
-// the pluggable interface and the OLC tree: the paper-fidelity default
-// must keep producing byte-identical trees. If this fails, the coarse
-// path changed behaviour — that is a bug unless the layout change is
-// deliberate and documented.
-func TestCoarseTreeGoldenLayout(t *testing.T) {
+// TestTreeGoldenLayout pins the tree's physical page layout and
+// iteration order to a digest captured from a single-threaded build: the
+// split algorithm, allocation order and buffer trace of one-at-a-time
+// operations must keep producing byte-identical trees, since the
+// paper's golden renders depend on them. If this fails, the tree changed
+// behaviour — that is a bug unless the layout change is deliberate and
+// documented.
+func TestTreeGoldenLayout(t *testing.T) {
 	_, ix := newIndexRig(t, 64)
 	rng := rand.New(rand.NewSource(7))
 	keys := rng.Perm(1500)
@@ -101,6 +102,6 @@ func TestCoarseTreeGoldenLayout(t *testing.T) {
 	}
 	const want = "5420316e61bd1eb2"
 	if got := goldenTreeFingerprint(t, ix); got != want {
-		t.Fatalf("coarse tree fingerprint = %s, want %s", got, want)
+		t.Fatalf("tree fingerprint = %s, want %s", got, want)
 	}
 }

@@ -7,45 +7,30 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ipa/internal/buffer"
 	"ipa/internal/core"
 	"ipa/internal/noftl"
 )
 
-// indexKinds are the tree implementations every behavioural index test
-// runs against: the semantics must be identical, only the latching
-// differs.
-var indexKinds = []IndexKind{IndexCoarse, IndexOLC}
-
-func newIndexRig(t *testing.T, frames int) (*testRig, *CoarseIndex) {
+func newIndexRig(t *testing.T, frames int) (*testRig, *OLCIndex) {
 	t.Helper()
 	r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), frames, false)
 	ix, err := r.db.CreateIndex("ix", "main")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, ix.(*CoarseIndex)
+	return r, ix.(*OLCIndex)
 }
 
-func newIndexRigKind(t *testing.T, frames int, kind IndexKind) (*testRig, Index) {
-	t.Helper()
-	r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), frames, false)
-	ix, err := r.db.CreateIndexKind("ix", "main", kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, ix
-}
-
-// forEachKind runs a subtest per tree implementation.
-func forEachKind(t *testing.T, f func(t *testing.T, kind IndexKind)) {
-	for _, kind := range indexKinds {
-		t.Run(kind.String(), func(t *testing.T) { f(t, kind) })
-	}
-}
+// runTree runs f as subtest "olc". There is one tree, so the level adds
+// nothing but the name: it keeps these tests' IDs (TestX/olc) the same
+// as when two trees ran them side by side, so tools that track test
+// results by name across commits keep following them.
+func runTree(t *testing.T, f func(t *testing.T)) { t.Run("olc", f) }
 
 func TestIndexInsertLookup(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		_, ix := newIndexRigKind(t, 32, kind)
+	runTree(t, func(t *testing.T) {
+		_, ix := newIndexRig(t, 32)
 		for k := uint64(1); k <= 100; k++ {
 			if err := ix.Insert(nil, k, core.RID{Page: core.PageID(k), Slot: uint16(k)}); err != nil {
 				t.Fatalf("insert %d: %v", k, err)
@@ -67,9 +52,6 @@ func TestIndexInsertLookup(t *testing.T) {
 			t.Errorf("duplicate insert: %v", err)
 		}
 		st := ix.Stats()
-		if st.Kind != kind {
-			t.Errorf("Stats.Kind = %v, want %v", st.Kind, kind)
-		}
 		if st.Inserts != 101 || st.Lookups != 101 {
 			t.Errorf("Stats = %+v, want 101 inserts / 101 lookups", st)
 		}
@@ -77,17 +59,16 @@ func TestIndexInsertLookup(t *testing.T) {
 }
 
 func TestIndexSplitsGrowTree(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		r, ix := newIndexRigKind(t, 64, kind)
-		rooter := ix.(interface{ Root() core.PageID })
-		rootBefore := rooter.Root()
+	runTree(t, func(t *testing.T) {
+		r, ix := newIndexRig(t, 64)
+		rootBefore := ix.Root()
 		// 512B pages hold ~21 leaf entries; 2000 keys force multiple levels.
 		for k := uint64(1); k <= 2000; k++ {
 			if err := ix.Insert(nil, k, core.RID{Page: core.PageID(k), Slot: 1}); err != nil {
 				t.Fatalf("insert %d: %v", k, err)
 			}
 		}
-		if rooter.Root() == rootBefore {
+		if ix.Root() == rootBefore {
 			t.Error("root never split over 2000 keys")
 		}
 		// Every key still reachable.
@@ -104,8 +85,8 @@ func TestIndexSplitsGrowTree(t *testing.T) {
 }
 
 func TestIndexRandomOrderInsert(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		_, ix := newIndexRigKind(t, 64, kind)
+	runTree(t, func(t *testing.T) {
+		_, ix := newIndexRig(t, 64)
 		rng := rand.New(rand.NewSource(42))
 		keys := rng.Perm(3000)
 		for _, k := range keys {
@@ -123,8 +104,8 @@ func TestIndexRandomOrderInsert(t *testing.T) {
 }
 
 func TestIndexRange(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		_, ix := newIndexRigKind(t, 64, kind)
+	runTree(t, func(t *testing.T) {
+		_, ix := newIndexRig(t, 64)
 		for k := uint64(0); k < 500; k += 2 { // even keys
 			if err := ix.Insert(nil, k, core.RID{Page: core.PageID(k + 1)}); err != nil {
 				t.Fatal(err)
@@ -155,8 +136,8 @@ func TestIndexRange(t *testing.T) {
 }
 
 func TestIndexUpdateAndDelete(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		_, ix := newIndexRigKind(t, 32, kind)
+	runTree(t, func(t *testing.T) {
+		_, ix := newIndexRig(t, 32)
 		for k := uint64(1); k <= 50; k++ {
 			ix.Insert(nil, k, core.RID{Page: core.PageID(k)})
 		}
@@ -185,9 +166,9 @@ func TestIndexUpdateAndDelete(t *testing.T) {
 }
 
 func TestIndexSurvivesEvictions(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
+	runTree(t, func(t *testing.T) {
 		// An 8-frame pool forces index pages through flash constantly.
-		_, ix := newIndexRigKind(t, 8, kind)
+		_, ix := newIndexRig(t, 8)
 		for k := uint64(1); k <= 1000; k++ {
 			if err := ix.Insert(nil, k, core.RID{Page: core.PageID(k)}); err != nil {
 				t.Fatalf("insert %d: %v", k, err)
@@ -204,13 +185,12 @@ func TestIndexSurvivesEvictions(t *testing.T) {
 
 // Property: after any random sequence of inserts and deletes, the index
 // agrees with a map reference and Range enumerates keys in sorted order.
-// Both tree kinds must satisfy it.
 func TestPropertyIndexMatchesReference(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
+	runTree(t, func(t *testing.T) {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), 32, false)
-			ix, err := r.db.CreateIndexKind("ix", "main", kind)
+			ix, err := r.db.CreateIndex("ix", "main")
 			if err != nil {
 				return false
 			}
@@ -273,4 +253,77 @@ func TestPropertyIndexMatchesReference(t *testing.T) {
 			t.Error(err)
 		}
 	})
+}
+
+// treeHeight counts the levels from the root to the leftmost leaf.
+func treeHeight(t *testing.T, ix *OLCIndex) int {
+	t.Helper()
+	db := ix.db
+	h := 1
+	for id := ix.Root(); ; h++ {
+		fr, err := db.pool.Get(nil, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := attachNode(ix.st, fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf, child := n.leaf, core.InvalidPageID
+		if !leaf {
+			child = n.child0()
+		}
+		db.pool.Unpin(nil, fr, false, 0)
+		if leaf {
+			return h
+		}
+		id = child
+	}
+}
+
+// TestIndexDescentProgressInTinyPool: a first descent attempt drops
+// each parent's pin before fetching the child, so in a pool of a few
+// frames that fetch can evict the parent, which forces a restart. The
+// restarted attempt keeps the parent pinned, so it completes; in a pool
+// that cannot hold a parent and a child at once, it fails with
+// buffer.ErrNoFrames instead of restarting forever.
+func TestIndexDescentProgressInTinyPool(t *testing.T) {
+	r, ix := newIndexRig(t, 64)
+	rid := func(k uint64) core.RID { return core.RID{Page: core.PageID(k), Slot: uint16(k % 7)} }
+	for k := uint64(2); k <= 4000; k += 2 {
+		if err := ix.Insert(nil, k, rid(k)); err != nil {
+			t.Fatalf("insert %d: %v", k, err)
+		}
+	}
+	if h := treeHeight(t, ix); h < 3 {
+		t.Fatalf("tree height %d, want ≥ 3", h)
+	}
+	if err := r.db.ResizePool(nil, 4); err != nil {
+		t.Fatal(err)
+	}
+	before := ix.Stats().Restarts
+	// Odd keys land in the gaps of half-full leaves: leaf-local inserts
+	// that descend the whole tree but split nothing, so four frames
+	// always suffice.
+	for k := uint64(1); k < 4000; k += 14 {
+		if err := ix.Insert(nil, k, rid(k)); err != nil {
+			t.Fatalf("insert %d in a 4-frame pool: %v", k, err)
+		}
+	}
+	for k := uint64(1); k <= 4000; k++ {
+		want := k%2 == 0 || k%14 == 1
+		got, ok, err := ix.Lookup(nil, k)
+		if err != nil || ok != want || (ok && got != rid(k)) {
+			t.Fatalf("lookup %d in a 4-frame pool = %v, %v, %v; want %v, %v", k, got, ok, err, rid(k), want)
+		}
+	}
+	if ix.Stats().Restarts == before {
+		t.Error("no descent restarted in a 4-frame pool: the parent was never evicted mid-descent")
+	}
+	if err := r.db.ResizePool(nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ix.Lookup(nil, 2); !errors.Is(err, buffer.ErrNoFrames) {
+		t.Fatalf("lookup in a 1-frame pool: %v, want %v", err, buffer.ErrNoFrames)
+	}
 }

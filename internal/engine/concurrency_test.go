@@ -436,9 +436,6 @@ func TestErrorSentinels(t *testing.T) {
 	if err := tx.Commit(); !errors.Is(err, ErrTxClosed) {
 		t.Errorf("double commit = %v, want ErrTxClosed", err)
 	}
-	if !errors.Is(ErrTxDone, ErrTxClosed) {
-		t.Error("ErrTxDone must alias ErrTxClosed")
-	}
 }
 
 // TestBackgroundMaintenance drives enough committed churn through a

@@ -70,14 +70,6 @@ type Options struct {
 	ReclaimFlushBatch int
 	// UseECC enables sectioned ECC in the OOB area.
 	UseECC bool
-	// IndexKind selects the B+tree implementation CreateIndex builds.
-	// The zero value (IndexCoarse) keeps the tree-wide latch whose page
-	// layout and allocation order the paper's golden renders pin —
-	// mirroring the PoolShards=1 pattern. IndexOLC switches to
-	// optimistic lock coupling for the concurrency benchmarks and
-	// production-style deployments. Individual indexes can override via
-	// CreateIndexKind.
-	IndexKind IndexKind
 	// BackgroundMaintenance moves buffer cleaning and log-space
 	// reclamation (FlushOldest + fuzzy checkpoint) off the transaction
 	// path onto a dedicated maintenance goroutine — Shore-MT's page
@@ -156,9 +148,6 @@ func (o Options) Validate(flashPageSize int) error {
 	}
 	if o.PoolShards < 0 {
 		return fmt.Errorf("%w: PoolShards %d", ErrBadOptions, o.PoolShards)
-	}
-	if o.IndexKind != IndexCoarse && o.IndexKind != IndexOLC {
-		return fmt.Errorf("%w: IndexKind %d", ErrBadOptions, int(o.IndexKind))
 	}
 	return nil
 }

@@ -59,21 +59,14 @@ func (db *DB) Exec(stmt string) error {
 		_, err = db.CreateTable(name, region)
 		return err
 	case "INDEX":
-		if err := checkOptionKeys("INDEX", name, opts, "TABLESPACE", "REGION", "KIND"); err != nil {
+		if err := checkOptionKeys("INDEX", name, opts, "TABLESPACE", "REGION"); err != nil {
 			return err
 		}
 		region, err := db.resolveTablespace(opts)
 		if err != nil {
 			return err
 		}
-		kind := db.opts.IndexKind
-		if v, ok := opts["KIND"]; ok {
-			kind, err = parseIndexKind(v)
-			if err != nil {
-				return err
-			}
-		}
-		_, err = db.CreateIndexKind(name, region, kind)
+		_, err = db.CreateIndex(name, region)
 		return err
 	default:
 		return fmt.Errorf("engine: unsupported CREATE %s", kind)
@@ -235,19 +228,6 @@ func parseIPAMode(v string) (noftl.IPAMode, error) {
 		return noftl.ModeOddMLC, nil
 	default:
 		return 0, fmt.Errorf("engine: unknown IPA_MODE %q (want NONE, SLC, PSLC or ODD-MLC)", v)
-	}
-}
-
-// parseIndexKind reads a KIND value selecting the index latching
-// implementation (CREATE INDEX ... KIND=olc).
-func parseIndexKind(v string) (IndexKind, error) {
-	switch strings.ToLower(v) {
-	case "coarse":
-		return IndexCoarse, nil
-	case "olc":
-		return IndexOLC, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown index KIND %q (want COARSE or OLC)", v)
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"ipa/internal/core"
@@ -9,22 +8,14 @@ import (
 	"ipa/internal/sim"
 )
 
-// Index is the pluggable ordered-index API: a uint64-keyed B+tree
-// mapping keys to RIDs. Two implementations exist, selectable per
-// database (Options.IndexKind) or per index (CreateIndexKind):
-//
-//   - IndexCoarse — one reader/writer latch per tree. Deterministic and
-//     byte-identical to the historical index, which the paper's golden
-//     renders depend on; the default, mirroring the PoolShards=1
-//     pattern.
-//   - IndexOLC — optimistic lock coupling over per-frame version words.
-//     Readers never block each other, writers latch only the nodes they
-//     change; for the concurrency benchmarks and production-style use.
+// Index is the ordered-index API: a uint64-keyed B+tree mapping keys
+// to RIDs, implemented by OLCIndex (optimistic lock coupling over
+// per-frame version words, olctree.go).
 //
 // The interface deliberately has no Root() method: with a concurrent
 // tree, a root id fetched in one call is stale by the next, so the root
 // lookup and the first descent step happen as one validated step inside
-// each operation. (The concrete types keep Root() for tests and tools.)
+// each operation. (OLCIndex keeps Root() for tests and tools.)
 type Index interface {
 	// Name returns the index name.
 	Name() string
@@ -42,48 +33,24 @@ type Index interface {
 	Stats() IndexStats
 }
 
-// IndexKind selects a B+tree implementation.
-type IndexKind int
-
-const (
-	// IndexCoarse is the tree-wide reader/writer latch (the default).
-	IndexCoarse IndexKind = iota
-	// IndexOLC is the optimistic-lock-coupling tree.
-	IndexOLC
-)
-
-// String names the kind the way DDL and bench labels spell it.
-func (k IndexKind) String() string {
-	switch k {
-	case IndexCoarse:
-		return "coarse"
-	case IndexOLC:
-		return "olc"
-	default:
-		return fmt.Sprintf("IndexKind(%d)", int(k))
-	}
-}
-
-// IndexStats is a snapshot of one index's counters. Restarts and
-// LatchWaits stay zero for the coarse tree: it never restarts, and its
-// single tree latch is not frame-level.
+// IndexStats is a snapshot of one index's counters.
 type IndexStats struct {
-	Kind    IndexKind
 	Lookups uint64
 	Inserts uint64
 	Updates uint64
 	Deletes uint64
 	Scans   uint64
-	// Restarts counts OLC descents abandoned because a version check
-	// failed (a concurrent split or root change invalidated the path).
+	// Restarts counts descents abandoned because a version check failed
+	// (a concurrent split or root change, or the eviction of an unpinned
+	// parent, invalidated the path).
 	Restarts uint64
 	// LatchWaits counts frame latch acquisitions that found the latch
 	// held and had to block.
 	LatchWaits uint64
 }
 
-// indexCounters is the shared counter block of both tree kinds. All
-// fields are atomics: lookups run concurrently in both trees.
+// indexCounters is an index's counter block. All fields are atomics:
+// operations run concurrently.
 type indexCounters struct {
 	lookups    atomic.Uint64
 	inserts    atomic.Uint64
@@ -94,9 +61,8 @@ type indexCounters struct {
 	latchWaits atomic.Uint64
 }
 
-func (c *indexCounters) snapshot(kind IndexKind) IndexStats {
+func (c *indexCounters) snapshot() IndexStats {
 	return IndexStats{
-		Kind:       kind,
 		Lookups:    c.lookups.Load(),
 		Inserts:    c.inserts.Load(),
 		Updates:    c.updates.Load(),
@@ -107,15 +73,8 @@ func (c *indexCounters) snapshot(kind IndexKind) IndexStats {
 	}
 }
 
-// CreateIndex creates an empty B+tree of the database's configured kind
-// (Options.IndexKind), placed in the named region.
+// CreateIndex creates an empty B+tree placed in the named region.
 func (db *DB) CreateIndex(name, regionName string) (Index, error) {
-	return db.CreateIndexKind(name, regionName, db.opts.IndexKind)
-}
-
-// CreateIndexKind creates an empty B+tree of an explicit kind, placed
-// in the named region.
-func (db *DB) CreateIndexKind(name, regionName string, kind IndexKind) (Index, error) {
 	st, err := db.AttachRegion(regionName)
 	if err != nil {
 		return nil, err
@@ -130,17 +89,8 @@ func (db *DB) CreateIndexKind(name, regionName string, kind IndexKind) (Index, e
 	if err := db.pool.Unpin(nil, fr, true, db.log.Head()); err != nil {
 		return nil, err
 	}
-	var ix Index
-	switch kind {
-	case IndexCoarse:
-		ix = &CoarseIndex{db: db, st: st, name: name, root: root}
-	case IndexOLC:
-		o := &OLCIndex{db: db, st: st, name: name}
-		o.root.Store(uint64(root))
-		ix = o
-	default:
-		return nil, fmt.Errorf("%w: IndexKind %d", ErrBadOptions, int(kind))
-	}
+	ix := &OLCIndex{db: db, st: st, name: name}
+	ix.root.Store(uint64(root))
 	db.registerIndex(ix)
 	return ix, nil
 }

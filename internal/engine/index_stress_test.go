@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"sync"
@@ -9,7 +10,7 @@ import (
 	"ipa/internal/core"
 )
 
-// TestIndexConcurrentStress hammers each index implementation from 8
+// TestIndexConcurrentStress hammers the index from 8
 // goroutines with a mixed insert/update/delete/lookup/scan workload.
 // Every worker owns a disjoint keyspace (keys prefixed with its id) and
 // keeps a private shadow map, so mid-run lookups and scans over its own
@@ -18,8 +19,8 @@ import (
 // the combined population. Run under -race this doubles as the latching
 // protocol's data-race check.
 func TestIndexConcurrentStress(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		_, ix := newIndexRigKind(t, 128, kind)
+	runTree(t, func(t *testing.T) {
+		_, ix := newIndexRig(t, 128)
 
 		const workers = 8
 		opsPer := 800
@@ -151,7 +152,7 @@ func TestIndexConcurrentStress(t *testing.T) {
 		if st.Inserts == 0 || st.Scans == 0 {
 			t.Errorf("stats did not record the run: %+v", st)
 		}
-		t.Logf("kind=%v restarts=%d latchWaits=%d", kind, st.Restarts, st.LatchWaits)
+		t.Logf("restarts=%d latchWaits=%d", st.Restarts, st.LatchWaits)
 	})
 }
 
@@ -162,8 +163,8 @@ func TestIndexConcurrentStress(t *testing.T) {
 // error-free apart from ErrKeyExists, and the tree must end sorted with
 // no duplicates.
 func TestIndexConcurrentHotKeys(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		_, ix := newIndexRigKind(t, 128, kind)
+	runTree(t, func(t *testing.T) {
+		_, ix := newIndexRig(t, 128)
 
 		const workers = 8
 		opsPer := 1500
@@ -226,6 +227,122 @@ func TestIndexConcurrentHotKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := ix.Stats()
-		t.Logf("kind=%v restarts=%d latchWaits=%d", kind, st.Restarts, st.LatchWaits)
+		t.Logf("restarts=%d latchWaits=%d", st.Restarts, st.LatchWaits)
 	})
+}
+
+// TestIndexWritesVsInlineCleaner runs index node writes against the
+// inline buffer cleaner. With a dirty threshold this low, nearly every
+// Unpin — of a heap page or an index node — runs CleanerPass on the
+// caller's goroutine, and the pass copies dirty unpinned frames under
+// their content latch. Inserters add a heap row and then index it;
+// readers look keys up and read the row back, so heap Unpins from
+// goroutines that hold no index latch flush index nodes while other
+// goroutines split and fill them. Node writes must therefore hold the
+// frame latch: under -race an unlatched node write shows as a data race
+// with the cleaner's copy. A Range over the whole tree audits the
+// result against the inserters' shadow maps.
+func TestIndexWritesVsInlineCleaner(t *testing.T) {
+	db := newRigWithOptions(t, rigGeometry(), Options{
+		PageSize: 512, BufferFrames: 24, DirtyThreshold: 0.05,
+	})
+	tbl, err := db.CreateTable("t", "r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := db.CreateIndex("ix", "r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const inserters, readers, perInserter = 4, 4, 250
+	row := func(k uint64) []byte {
+		b := make([]byte, 16)
+		binary.LittleEndian.PutUint64(b, k)
+		return b
+	}
+	shadows := make([]map[uint64]core.RID, inserters)
+	var writers, lookups sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < inserters; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			shadow := map[uint64]core.RID{}
+			for i := 0; i < perInserter; i++ {
+				k := uint64(i*inserters + g + 1) // disjoint, interleaved keys
+				tx := mustBegin(db, nil)
+				rid, err := tbl.Insert(tx, row(k))
+				if err == nil {
+					err = tx.Commit()
+				}
+				if err == nil {
+					err = ix.Insert(nil, k, rid)
+				}
+				if err != nil {
+					t.Errorf("inserter %d key %d: %v", g, k, err)
+					return
+				}
+				shadow[k] = rid
+			}
+			shadows[g] = shadow
+		}(g)
+	}
+	for g := 0; g < readers; g++ {
+		lookups.Add(1)
+		go func(g int) {
+			defer lookups.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := uint64(rng.Intn(inserters*perInserter) + 1)
+				rid, ok, err := ix.Lookup(nil, k)
+				if err != nil {
+					t.Errorf("lookup %d: %v", k, err)
+					return
+				}
+				if !ok {
+					continue // not inserted yet
+				}
+				tup, err := tbl.Read(nil, rid)
+				if err != nil || binary.LittleEndian.Uint64(tup) != k {
+					t.Errorf("lookup %d → %v: row %x, %v", k, rid, tup, err)
+					return
+				}
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(stop)
+	lookups.Wait()
+	if t.Failed() {
+		return
+	}
+	want := map[uint64]core.RID{}
+	for _, m := range shadows {
+		for k, rid := range m {
+			want[k] = rid
+		}
+	}
+	seen, prev := 0, uint64(0)
+	if err := ix.Range(nil, 0, 1<<63, func(k uint64, rid core.RID) bool {
+		if k <= prev || want[k] != rid {
+			t.Errorf("range key %d → %v after %d, want %v", k, rid, prev, want[k])
+			return false
+		}
+		prev = k
+		seen++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(want) {
+		t.Errorf("range saw %d keys, inserters indexed %d", seen, len(want))
+	}
+	if st := db.pool.Stats(); st.CleanerFlushes == 0 {
+		t.Errorf("the inline cleaner never ran: %+v", st)
+	}
 }

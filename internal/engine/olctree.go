@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"ipa/internal/buffer"
@@ -11,24 +12,33 @@ import (
 	"ipa/internal/sim"
 )
 
-// OLCIndex is a B+tree with optimistic lock coupling, sharing the
-// coarse tree's on-page node layout (see btree.go) but none of its
-// tree-wide latch. Every buffer frame carries a version word
-// (buffer.Frame.Version) that index writers bump before releasing their
-// exclusive latch; the binding epoch in its upper bits invalidates
-// versions across frame reuse.
+// OLCIndex is a page-based B+tree mapping uint64 keys to RIDs, with
+// optimistic lock coupling (OLC). Index pages (node layout in btree.go)
+// live in a region and move through the same buffer pool and flush path
+// as heap pages, so index updates also benefit from In-Place Appends
+// ("frequently updated tables *or indices*", paper Sec. 1).
+//
+// The index is a non-logged structure: it is rebuilt from its table
+// after restart recovery (a common recovery strategy for secondary
+// structures), which keeps the WAL focused on tuple data.
+//
+// Concurrency: there is no tree-wide latch. Every buffer frame carries
+// a version word (buffer.Frame.Version) that index writers bump before
+// releasing their exclusive latch; the binding epoch in its upper bits,
+// restamped whenever a frame gains or loses a page, invalidates versions
+// across eviction and frame reuse.
 //
 // Reads descend without coupling latches: at most one short per-node
 // shared latch is held at a time (Go's race detector — and the flush
 // path, which copies page contents under the exclusive latch — rules
 // out truly latch-free byte reads), and the hand-over-hand invariant is
-// replaced by version validation. The descent keeps the parent frame
-// *pinned* (so it cannot be evicted or rebound) while moving to the
-// child, latches the child, then re-checks the parent's version: if it
-// changed, a concurrent split may have moved the key, and the descent
-// restarts from the root. The root pointer is itself versioned
-// (rootVer), so resolving the root and validating the first step form
-// one atomic unit — there is no Root()-then-descend window.
+// replaced by version validation. After latching a child, the descent
+// re-checks the parent's version: if it changed, a concurrent split may
+// have moved the key, and the descent restarts from the root (see
+// descend for when the parent stays pinned meanwhile). The root pointer
+// is itself versioned (rootVer), so resolving the root and validating
+// the first step form one atomic unit — there is no Root()-then-descend
+// window.
 //
 // Writers are optimistic too: Update and Delete (leaf-local by
 // construction — deletion is lazy, leaves never merge) and Inserts into
@@ -39,13 +49,12 @@ import (
 // space bounds the split). All modified versions are bumped before any
 // latch is released, so no reader can validate a half-installed split.
 //
-// Interaction with pins and the flush path: every latched frame is
-// pinned first, and the pool's flush paths (cleaner, eviction,
-// checkpoint) only claim unpinned frames — so a flush never contends
-// with a frame an index operation holds, and conversely an index read
-// landing on a frame mid-flush simply waits out the copy under the
-// frame latch. Flushes do not bump versions: they copy the logical
-// image but never change it.
+// Interaction with the flush path: every node is read or written under
+// its frame latch, and the pool's flush paths (cleaner, eviction,
+// checkpoint) copy a frame under that same latch — so a node write never
+// overlaps a flush of its page, and an index operation landing on a
+// frame mid-flush simply waits out the copy. Flushes do not bump
+// versions: they copy the logical image but never change it.
 type OLCIndex struct {
 	db   *DB
 	st   *PageStore
@@ -71,7 +80,7 @@ func (ix *OLCIndex) Name() string { return ix.name }
 func (ix *OLCIndex) Root() core.PageID { return core.PageID(ix.root.Load()) }
 
 // Stats snapshots the operation and contention counters.
-func (ix *OLCIndex) Stats() IndexStats { return ix.stats.snapshot(IndexOLC) }
+func (ix *OLCIndex) Stats() IndexStats { return ix.stats.snapshot() }
 
 // rlatch takes a shared frame latch, counting the wait if contended.
 func (ix *OLCIndex) rlatch(fr *buffer.Frame) {
@@ -103,21 +112,33 @@ func (ix *OLCIndex) restartWait(attempt int) {
 // leaf-local write path). The caller holds db.stateMu shared and must
 // unlatch+unpin the returned frame.
 //
-// Validation protocol, per step: the parent stays pinned (not latched)
-// while the child is fetched; after latching the child, the parent's
-// version is re-checked. A mismatch means the routing decision may be
-// stale (the child may have split and the key moved right), so the
-// descent restarts. For the first step the root pointer's own version
-// plays the parent role.
+// Validation protocol, per step: after latching the child, the
+// parent's version is re-checked. A mismatch means the routing decision
+// may be stale (the child may have split and the key moved right), so
+// the descent restarts. For the first step the root pointer's own
+// version plays the parent role.
+//
+// The first attempt drops the parent's pin before it fetches the child,
+// so it pins one node at a time. A second pin held across the child's
+// fetch would change which frame that fetch evicts, and the paper's
+// golden renders pin the single-threaded buffer trace. The unpinned
+// parent may then be evicted while the child is fetched, its frame
+// rebound or left free; the pool stamps a fresh binding epoch whenever
+// a frame loses its page, so the version check fails and that is
+// caught like a split. A restarted attempt keeps each parent pinned
+// until the child is latched, so eviction cannot invalidate it again:
+// it finishes, or in a pool too small to hold two nodes fails with
+// buffer.ErrNoFrames instead of restarting forever.
 func (ix *OLCIndex) descend(w *sim.Worker, key uint64, exclusive bool) (*buffer.Frame, *node, error) {
 	db := ix.db
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			ix.restartWait(attempt - 1)
 		}
+		coupled := attempt > 0 // keep the parent pinned across the child's fetch
 		rv := ix.rootVer.Load()
 		cur := core.PageID(ix.root.Load())
-		var parent *buffer.Frame // pinned, unlatched
+		var parent *buffer.Frame // unlatched; pinned only when coupled
 		var parentVer uint64
 		// valid reports whether the step that led to the latched node is
 		// still current.
@@ -127,30 +148,29 @@ func (ix *OLCIndex) descend(w *sim.Worker, key uint64, exclusive bool) (*buffer.
 			}
 			return parent.Version() == parentVer
 		}
-		release := func(fr *buffer.Frame) {
-			if fr != nil {
-				db.pool.Unpin(w, fr, false, 0)
-			}
-			if parent != nil {
+		unpinParent := func() {
+			if coupled && parent != nil {
 				db.pool.Unpin(w, parent, false, 0)
 			}
 		}
 		for {
 			fr, err := db.pool.Get(w, cur)
 			if err != nil {
-				release(nil)
+				unpinParent()
 				return nil, nil, err
 			}
 			ix.rlatch(fr)
 			if !valid() {
 				fr.RUnlatch()
-				release(fr)
+				db.pool.Unpin(w, fr, false, 0)
+				unpinParent()
 				break // restart from the root
 			}
 			n, err := attachNode(ix.st, fr)
 			if err != nil {
 				fr.RUnlatch()
-				release(fr)
+				db.pool.Unpin(w, fr, false, 0)
+				unpinParent()
 				return nil, nil, err
 			}
 			if n.leaf {
@@ -163,20 +183,20 @@ func (ix *OLCIndex) descend(w *sim.Worker, key uint64, exclusive bool) (*buffer.
 					ix.latch(fr)
 					if !valid() {
 						fr.Unlatch()
-						release(fr)
+						db.pool.Unpin(w, fr, false, 0)
+						unpinParent()
 						break // restart from the root
 					}
 				}
-				if parent != nil {
-					db.pool.Unpin(w, parent, false, 0)
-				}
+				unpinParent()
 				return fr, n, nil
 			}
 			next := n.route(key)
 			ver := fr.Version()
 			fr.RUnlatch()
-			if parent != nil {
-				db.pool.Unpin(w, parent, false, 0)
+			unpinParent()
+			if !coupled {
+				db.pool.Unpin(w, fr, false, 0)
 			}
 			parent, parentVer = fr, ver
 			cur = next
@@ -226,8 +246,9 @@ func (ix *OLCIndex) Update(w *sim.Worker, key uint64, rid core.RID) error {
 	return db.pool.Unpin(w, fr, true, db.log.Head())
 }
 
-// Delete removes a key (lazy deletion, like the coarse tree: leaves are
-// never merged, so deletes stay leaf-local and need no crabbing).
+// Delete removes a key (lazy deletion: leaves are never merged, which
+// is adequate for the OLTP workloads where deletes are rare, and keeps
+// deletes leaf-local with no crabbing).
 func (ix *OLCIndex) Delete(w *sim.Worker, key uint64) (bool, error) {
 	ix.stats.deletes.Add(1)
 	db := ix.db
@@ -317,30 +338,35 @@ func (ix *OLCIndex) insertPessimistic(w *sim.Worker, key uint64, rid core.RID) (
 		}
 		stack = nil
 	}
-	// finish bumps and releases everything; dirty frames carry the log
-	// head as recLSN. Called on success and on mid-split errors alike
-	// (modifications already made must become visible either way).
+	// finish bumps every modified version, then unlatches and unpins:
+	// first the modified frames, dirty with the log head as recLSN, in
+	// the order they were modified — the leaf, its new right sibling,
+	// each split ancestor followed by the sibling it spawned, the
+	// ancestor that absorbed the separator, the new root — then any
+	// other held frame, clean. That is the order in which a recursive
+	// insert that splits on its way back up releases its pages; an
+	// Unpin may run the inline cleaner, so the order is part of the
+	// single-threaded buffer trace the golden renders pin. Called on
+	// success and on mid-split errors alike (modifications already made
+	// must become visible either way).
 	finish := func() error {
 		for _, fr := range modified {
 			fr.BumpVersion()
 		}
 		head := db.log.Head()
 		var unpinErr error
-		dirty := make(map[*buffer.Frame]bool, len(modified))
-		for _, fr := range modified {
-			dirty[fr] = true
-		}
-		for i := len(stack) - 1; i >= 0; i-- {
-			fr := stack[i].fr
+		release := func(fr *buffer.Frame, dirty bool) {
 			fr.Unlatch()
-			var e error
-			if dirty[fr] {
-				e = db.pool.Unpin(w, fr, true, head)
-			} else {
-				e = db.pool.Unpin(w, fr, false, 0)
+			if err := db.pool.Unpin(w, fr, dirty, head); unpinErr == nil {
+				unpinErr = err
 			}
-			if unpinErr == nil {
-				unpinErr = e
+		}
+		for _, fr := range modified {
+			release(fr, true)
+		}
+		for _, h := range stack {
+			if !slices.Contains(modified, h.fr) {
+				release(h.fr, false)
 			}
 		}
 		stack = nil
@@ -520,8 +546,8 @@ func (ix *OLCIndex) insertPessimistic(w *sim.Worker, key uint64, rid core.RID) (
 
 // Range visits keys in [lo, hi] in order until fn returns false. Each
 // leaf's entries are buffered under its shared latch and the callback
-// runs with no latch held, so it may perform table reads. As with the
-// coarse tree, keys inserted concurrently may or may not be seen.
+// runs with no latch held, so it may perform table reads. Keys inserted
+// concurrently may or may not be seen.
 func (ix *OLCIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, rid core.RID) bool) error {
 	ix.stats.scans.Add(1)
 	db := ix.db

@@ -23,11 +23,6 @@ const (
 // ErrTxClosed is returned when operating on a finished transaction.
 var ErrTxClosed = errors.New("engine: transaction already closed")
 
-// ErrTxDone is the historical name of ErrTxClosed.
-//
-// Deprecated: use ErrTxClosed. errors.Is matches either.
-var ErrTxDone = ErrTxClosed
-
 // ErrLockConflict is returned when a tuple is exclusively locked by
 // another active transaction. Locking is no-wait (immediate failure), so
 // deadlocks cannot arise; callers abort and retry.

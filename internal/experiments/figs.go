@@ -245,7 +245,6 @@ func All(p Params) (string, error) {
 		{"fig1", Fig1}, {"fig6", Fig6}, {"fig7", Fig7}, {"fig8", Fig8},
 		{"fig9", Fig9}, {"fig10", Fig10}, {"longevity", Longevity},
 		{"schemes", Schemes},
-		{"index", Index},
 		{"htap", HTAP},
 		{"repl", Repl},
 	}
@@ -302,8 +301,6 @@ func ByID(id string, p Params) (*Table, error) {
 		return Longevity(p)
 	case "schemes":
 		return Schemes(p)
-	case "index":
-		return Index(p)
 	case "htap":
 		return HTAP(p)
 	case "repl":

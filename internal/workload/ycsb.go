@@ -6,87 +6,18 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ipa/internal/core"
 	"ipa/internal/engine"
 	"ipa/internal/sim"
 )
 
-// IndexOpCPU is the simulated CPU cost charged per index operation when
-// the latch-cost model is enabled (YCSB.LatchSim). It is the sim-time
-// floor of one descent; the interesting part — flash fetches for
-// uncached nodes — is charged by the buffer pool as usual.
-const IndexOpCPU = 2 * time.Microsecond
-
-// latchSim is the simulated-time model of a tree-wide reader/writer
-// latch, two busy horizons wide. Readers start after the last writer's
-// end and record their own end; concurrent readers overlap freely.
-// A writer starts after both the last writer AND every reader admitted
-// so far (an exclusive acquire drains in-flight shared holders), and
-// everything it does inside the section — CPU, simulated flash fetches
-// for uncached nodes — pushes the writer horizon out and stalls every
-// later index operation. That is the serialisation a coarse latch
-// imposes in real time, expressed in the repo's deterministic time base.
-//
-// The OLC tree gets no horizon: its exclusive latches cover only
-// in-memory leaf edits (descents and fetches run unlatched), so its
-// serialisation is negligible at this granularity; the residual cost
-// shows up in the measured restart and latch-wait counters instead.
-type latchSim struct {
-	mu       sync.Mutex
-	writeEnd sim.Time // end of the last exclusive section
-	readEnd  sim.Time // latest end among shared sections
-}
-
-// enterShared stalls w until the last writer is out.
-func (l *latchSim) enterShared(w *sim.Worker) {
-	l.mu.Lock()
-	we := l.writeEnd
-	l.mu.Unlock()
-	if we > w.Now() {
-		w.SetNow(we)
-	}
-}
-
-// exitShared records the end of a shared section.
-func (l *latchSim) exitShared(w *sim.Worker) {
-	l.mu.Lock()
-	if w.Now() > l.readEnd {
-		l.readEnd = w.Now()
-	}
-	l.mu.Unlock()
-}
-
-// enterExcl stalls w until writers and in-flight readers are out.
-func (l *latchSim) enterExcl(w *sim.Worker) {
-	l.mu.Lock()
-	t := l.writeEnd
-	if l.readEnd > t {
-		t = l.readEnd
-	}
-	l.mu.Unlock()
-	if t > w.Now() {
-		w.SetNow(t)
-	}
-}
-
-// exitExcl publishes the end of an exclusive section.
-func (l *latchSim) exitExcl(w *sim.Worker) {
-	l.mu.Lock()
-	if w.Now() > l.writeEnd {
-		l.writeEnd = w.Now()
-	}
-	l.mu.Unlock()
-}
-
 // YCSB is a YCSB-style key-value workload over one table and one
 // ordered index: point reads, field updates, fresh-key inserts and
 // short range scans in configurable proportions, with uniform or
 // Zipfian key choice. Unlike the paper's transactional drivers it is
 // index-centric — every operation starts at the B+tree — which makes it
-// the measurement harness for the index latching work: coarse vs OLC
-// trees under 1..N terminals.
+// the measurement harness for the index under 1..N terminals.
 //
 // The standard mixes map as: workload B ≈ {Read:95, Update:5},
 // A ≈ {Read:50, Update:50}, E ≈ {Scan:95, Insert:5}.
@@ -113,19 +44,8 @@ type YCSB struct {
 	// latest state. Requires the DB to run with MVCC enabled.
 	SnapshotScan bool
 
-	// Kind selects the index implementation under test.
-	Kind engine.IndexKind
-
-	// LatchSim enables the simulated-time latch-cost model: every
-	// index operation is charged IndexOpCPU, and for the coarse tree
-	// the whole operation runs inside a FIFO latch horizon. Off by
-	// default so functional tests and the paper experiments keep their
-	// historical timings; the index benchmarks turn it on.
-	LatchSim bool
-
 	table *engine.Table
 	idx   engine.Index
-	latch *latchSim
 	sch   *engine.Schema // key(8) counter(8) filler(84)
 	next  atomic.Uint64  // highest key assigned so far
 
@@ -136,22 +56,21 @@ type YCSB struct {
 }
 
 // NewYCSB constructs a driver; Load must be called before RunOne.
-func NewYCSB(db *engine.DB, region string, records int, kind engine.IndexKind) *YCSB {
+func NewYCSB(db *engine.DB, region string, records int) *YCSB {
 	sch, _ := engine.NewSchema(8, 8, 84)
 	return &YCSB{
 		DB: db, Region: region, Prefix: "ycsb",
 		Records: records,
 		ReadPct: 95, UpdatePct: 5,
 		ScanLen: 20, ZipfS: 1.1,
-		Kind: kind,
-		sch:  sch,
+		sch: sch,
 	}
 }
 
 // Name implements Workload.
 func (y *YCSB) Name() string {
-	return fmt.Sprintf("YCSB(%s r%d/u%d/i%d/s%d)",
-		y.Kind, y.ReadPct, y.UpdatePct, y.InsertPct,
+	return fmt.Sprintf("YCSB(r%d/u%d/i%d/s%d)",
+		y.ReadPct, y.UpdatePct, y.InsertPct,
 		100-y.ReadPct-y.UpdatePct-y.InsertPct)
 }
 
@@ -168,11 +87,8 @@ func (y *YCSB) Load(w *sim.Worker) error {
 	if y.table, err = db.CreateTable(y.Prefix+"_kv", y.Region); err != nil {
 		return err
 	}
-	if y.idx, err = db.CreateIndexKind(y.Prefix+"_pk", y.Region, y.Kind); err != nil {
+	if y.idx, err = db.CreateIndex(y.Prefix+"_pk", y.Region); err != nil {
 		return err
-	}
-	if y.LatchSim && y.Kind == engine.IndexCoarse {
-		y.latch = &latchSim{}
 	}
 	for k := 1; k <= y.Records; k++ {
 		if err := y.insertKey(w, uint64(k)); err != nil {
@@ -191,44 +107,6 @@ func (y *YCSB) insertKey(w *sim.Worker, k uint64) error {
 		return err
 	}
 	return y.idx.Insert(w, k, rid)
-}
-
-// indexSharedBegin opens a shared-latch index operation under the
-// latch-cost model: wait out any writer, then pay the descent CPU.
-func (y *YCSB) indexSharedBegin(w *sim.Worker) {
-	if !y.LatchSim || w == nil {
-		return
-	}
-	if y.latch != nil {
-		y.latch.enterShared(w)
-	}
-	w.Compute(IndexOpCPU)
-}
-
-func (y *YCSB) indexSharedEnd(w *sim.Worker) {
-	if !y.LatchSim || w == nil || y.latch == nil {
-		return
-	}
-	y.latch.exitShared(w)
-}
-
-// indexExclBegin opens an exclusive-latch index operation; the pair
-// indexExclEnd publishes its full duration as the new latch horizon.
-func (y *YCSB) indexExclBegin(w *sim.Worker) {
-	if !y.LatchSim || w == nil {
-		return
-	}
-	if y.latch != nil {
-		y.latch.enterExcl(w)
-	}
-	w.Compute(IndexOpCPU)
-}
-
-func (y *YCSB) indexExclEnd(w *sim.Worker) {
-	if !y.LatchSim || w == nil || y.latch == nil {
-		return
-	}
-	y.latch.exitExcl(w)
 }
 
 // pickKey draws a key from the populated range.
@@ -255,9 +133,7 @@ func (y *YCSB) RunOne(w *sim.Worker, rng *rand.Rand) (string, error) {
 	switch {
 	case p < y.ReadPct:
 		k := y.pickKey(rng)
-		y.indexSharedBegin(w)
 		rid, ok, err := y.idx.Lookup(w, k)
-		y.indexSharedEnd(w)
 		if err != nil {
 			return "Read", err
 		}
@@ -268,9 +144,7 @@ func (y *YCSB) RunOne(w *sim.Worker, rng *rand.Rand) (string, error) {
 		return "Read", err
 	case p < y.ReadPct+y.UpdatePct:
 		k := y.pickKey(rng)
-		y.indexSharedBegin(w)
 		rid, ok, err := y.idx.Lookup(w, k)
-		y.indexSharedEnd(w)
 		if err != nil || !ok {
 			return "Update", err
 		}
@@ -290,8 +164,6 @@ func (y *YCSB) RunOne(w *sim.Worker, rng *rand.Rand) (string, error) {
 		}
 		return "Update", tx.Commit()
 	case p < y.ReadPct+y.UpdatePct+y.InsertPct:
-		// The table insert happens before the index critical section:
-		// a real coarse latch covers the tree update, not the heap I/O.
 		k := y.next.Add(1)
 		tup := y.sch.New()
 		y.sch.SetUint(tup, 0, k)
@@ -299,10 +171,7 @@ func (y *YCSB) RunOne(w *sim.Worker, rng *rand.Rand) (string, error) {
 		if err != nil {
 			return "Insert", err
 		}
-		y.indexExclBegin(w)
-		err = y.idx.Insert(w, k, rid)
-		y.indexExclEnd(w)
-		return "Insert", err
+		return "Insert", y.idx.Insert(w, k, rid)
 	default:
 		lo := y.pickKey(rng)
 		limit := y.ScanLen
@@ -310,12 +179,10 @@ func (y *YCSB) RunOne(w *sim.Worker, rng *rand.Rand) (string, error) {
 			limit = 20
 		}
 		var rids []core.RID
-		y.indexSharedBegin(w)
 		err := y.idx.Range(w, lo, ^uint64(0)>>1, func(key uint64, rid core.RID) bool {
 			rids = append(rids, rid)
 			return len(rids) < limit
 		})
-		y.indexSharedEnd(w)
 		if err != nil || !y.SnapshotScan {
 			return "Scan", err
 		}
