@@ -2,7 +2,7 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 vet build test race perfbench-check bench bench-wal bench-htap bench-index bench-schemes bench-server bench-prev bench-all fmt fmt-check
+.PHONY: check tier1 vet build test race perfbench-check bench bench-wal bench-htap bench-index bench-schemes bench-server bench-prev bench-all fmt fmt-check fuzz-wire
 
 check: fmt-check vet build race perfbench-check
 
@@ -124,6 +124,13 @@ bench-prev:
 	$(GO) test -run xxx -bench 'BenchmarkGCInterference' -benchtime 1000000x \
 		-count=5 ./internal/noftl/ >> /tmp/bench_prev.txt
 	cat /tmp/bench_prev.txt
+
+# Fuzz the frame decoder for longer than the seed-corpus run that
+# `go test` makes of FuzzReadFrame (internal/wire/testdata/fuzz). Not
+# part of check: a fuzz run has no fixed end but FUZZTIME.
+FUZZTIME ?= 60s
+fuzz-wire:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/wire/
 
 bench-all:
 	$(GO) test -bench=. -benchmem -run xxx ./...

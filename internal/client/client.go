@@ -220,39 +220,52 @@ func (c *Conn) flush() {
 
 // Wait blocks for the response, the request timeout, or connection
 // loss. On an error status it returns a *wire.StatusError that unwraps
-// to the matching sentinel.
+// to the matching sentinel. A response that has already arrived, as
+// most do after the first Wait of a pipelined burst, is taken without
+// arming the timeout timer.
 func (p *Pending) Wait() (wire.Frame, error) {
 	p.c.flush()
+	select {
+	case f, ok := <-p.ch:
+		return p.resolve(f, ok)
+	default:
+	}
 	timer := time.NewTimer(p.c.opts.RequestTimeout)
 	defer timer.Stop()
 	select {
 	case f, ok := <-p.ch:
-		if !ok {
-			p.c.pmu.Lock()
-			err := p.c.readErr
-			p.c.pmu.Unlock()
-			if err == nil {
-				err = errors.New("client: connection closed")
-			}
-			return wire.Frame{}, err
-		}
-		if f.Kind == wire.StatusRedirect {
-			// A follower declining a leader-only op; the payload names
-			// the leader ("" mid-election). The cluster Pool consumes
-			// this to re-resolve before callers ever see it.
-			return f, &wire.RedirectError{Leader: wire.NewReader(f.Payload).String()}
-		}
-		if f.Kind != wire.StatusOK {
-			msg := wire.NewReader(f.Payload).Blob()
-			return f, &wire.StatusError{Code: f.Kind, Message: string(msg)}
-		}
-		return f, nil
+		return p.resolve(f, ok)
 	case <-timer.C:
 		p.c.pmu.Lock()
 		delete(p.c.pending, p.id)
 		p.c.pmu.Unlock()
 		return wire.Frame{}, ErrTimeout
 	}
+}
+
+// resolve turns a received response (ok false: the connection died
+// with the request in flight) into Wait's result.
+func (p *Pending) resolve(f wire.Frame, ok bool) (wire.Frame, error) {
+	if !ok {
+		p.c.pmu.Lock()
+		err := p.c.readErr
+		p.c.pmu.Unlock()
+		if err == nil {
+			err = errors.New("client: connection closed")
+		}
+		return wire.Frame{}, err
+	}
+	if f.Kind == wire.StatusRedirect {
+		// A follower declining a leader-only op; the payload names
+		// the leader ("" mid-election). The cluster Pool consumes
+		// this to re-resolve before callers ever see it.
+		return f, &wire.RedirectError{Leader: wire.NewReader(f.Payload).String()}
+	}
+	if f.Kind != wire.StatusOK {
+		msg := wire.NewReader(f.Payload).Blob()
+		return f, &wire.StatusError{Code: f.Kind, Message: string(msg)}
+	}
+	return f, nil
 }
 
 // do sends one request synchronously, retrying transient (StatusBusy)

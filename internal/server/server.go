@@ -56,10 +56,9 @@ type Config struct {
 
 	MaxInflight    int           // global in-flight request cap (default 256)
 	AcquireTimeout time.Duration // admission wait before StatusBusy (default 2s)
-	ReadTimeout    time.Duration // per-frame read deadline / idle limit (default 2m)
-	WriteTimeout   time.Duration // deadline per response flush (default 30s)
+	ReadTimeout    time.Duration // idle limit on each socket read (default 2m)
+	WriteTimeout   time.Duration // deadline on each socket write (default 30s)
 	MaxFrame       int           // frame size limit (default wire.MaxFrame)
-	PipelineDepth  int           // per-session queued-request bound (default 64)
 
 	Logf func(format string, args ...any) // optional diagnostics sink
 }
@@ -80,9 +79,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = wire.MaxFrame
 	}
-	if c.PipelineDepth <= 0 {
-		c.PipelineDepth = 64
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -100,7 +96,10 @@ type Counters struct {
 	// earlier pipelined op failed (the engine tallies these as explicit
 	// aborts; this counter attributes them to poisoning specifically).
 	PoisonedAborts uint64 `json:"poisoned_aborts"`
-	Draining       bool   `json:"draining"`
+	// Flushes counts reply flushes that wrote to a socket: one per
+	// pipelined burst when the burst arrives in one read.
+	Flushes  uint64 `json:"flushes"`
+	Draining bool   `json:"draining"`
 }
 
 // StatsDocument is what the admin endpoint and the STATS op serve:
@@ -136,6 +135,7 @@ type Server struct {
 	busyRejected   atomic.Uint64
 	orphansAborted atomic.Uint64
 	poisonedAborts atomic.Uint64
+	flushes        atomic.Uint64
 }
 
 // New builds a server around an open database.
@@ -274,6 +274,25 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	return s.db.Close()
 }
 
+// admit takes a slot of the in-flight semaphore, waiting at most
+// AcquireTimeout. The timer is armed only when no slot is free at once,
+// so an unsaturated server admits without one.
+func (s *Server) admit() bool {
+	select {
+	case s.inflight <- struct{}{}:
+		return true
+	default:
+	}
+	timer := time.NewTimer(s.cfg.AcquireTimeout)
+	defer timer.Stop()
+	select {
+	case s.inflight <- struct{}{}:
+		return true
+	case <-timer.C:
+		return false
+	}
+}
+
 // observe records one request's wall-clock service time under its op
 // name.
 func (s *Server) observe(op byte, d time.Duration) {
@@ -316,6 +335,7 @@ func (s *Server) StatsDocument() (StatsDocument, error) {
 			BusyRejected:   s.busyRejected.Load(),
 			OrphansAborted: s.orphansAborted.Load(),
 			PoisonedAborts: s.poisonedAborts.Load(),
+			Flushes:        s.flushes.Load(),
 			Draining:       s.draining.Load(),
 		},
 	}

@@ -17,20 +17,24 @@ import (
 	"ipa/internal/wire"
 )
 
-// session serves one connection. A reader goroutine decodes frames into
-// a bounded queue; the session goroutine executes them serially in
-// arrival order and writes responses through a buffered writer that is
-// flushed whenever the queue runs empty. Serial execution is what makes
-// pipelined transactions sound: the ops of a BEGIN..COMMIT batch land
-// in exactly the order the client wrote them.
+// session serves one connection on a single goroutine: it reads frames
+// through a buffered reader and executes each one, serially and in
+// arrival order, before reading the next. Serial execution is what
+// makes pipelined transactions sound: the ops of a BEGIN..COMMIT batch
+// land in exactly the order the client wrote them.
+//
+// Replies go out through a buffered writer that is flushed only when
+// the loop is about to read from the socket (see sock.Read), so the
+// replies to a pipelined burst leave in one write, and a reply never
+// waits behind a read that may block. Pipelining is bounded by the
+// socket buffers and the read buffer: the loop reads no further ahead
+// than the frames it is executing.
 type session struct {
 	srv  *Server
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	w    *sim.Worker
-
-	queue chan wire.Frame
 
 	drainOnce sync.Once
 
@@ -44,21 +48,54 @@ func newSession(s *Server, conn net.Conn) *session {
 	if s.cfg.Timeline != nil {
 		w = s.cfg.Timeline.NewWorker()
 	}
-	return &session{
+	sess := &session{
 		srv:    s,
 		conn:   conn,
-		br:     bufio.NewReaderSize(conn, 32<<10),
-		bw:     bufio.NewWriterSize(conn, 32<<10),
 		w:      w,
-		queue:  make(chan wire.Frame, s.cfg.PipelineDepth),
 		txs:    make(map[uint64]*engine.Tx),
 		poison: make(map[uint64]string),
 		tables: make(map[string]*engine.Table),
 	}
+	sess.br = bufio.NewReaderSize(sock{sess}, 32<<10)
+	sess.bw = bufio.NewWriterSize(sock{sess}, 32<<10)
+	return sess
 }
 
-// startDrain unblocks the reader so the session stops accepting new
-// frames; requests already queued still execute.
+// errDraining ends a session's read loop once the server drains.
+var errDraining = errors.New("server draining")
+
+// sock is the session's socket as its buffered reader and writer see
+// it. Both buffers call it only when they must touch the socket, which
+// is where the deadlines and the reply flush belong.
+type sock struct{ s *session }
+
+// Read runs only when the read buffer cannot supply the next frame, so
+// the read may block: it first flushes the buffered replies, then arms
+// the idle ReadTimeout for this one socket read. The draining check
+// follows the deadline update so a concurrent startDrain cannot be
+// overwritten unseen. Frames already buffered still execute.
+func (k sock) Read(p []byte) (int, error) {
+	s := k.s
+	if err := s.flush(); err != nil {
+		return 0, fmt.Errorf("write: %w", err)
+	}
+	s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.ReadTimeout))
+	if s.srv.draining.Load() {
+		return 0, errDraining
+	}
+	return s.conn.Read(p)
+}
+
+// Write arms WriteTimeout for each socket write: the explicit flush in
+// Read, and the flushes bufio.Writer makes on its own when a large
+// reply fills it, which may come long after the last explicit one.
+func (k sock) Write(p []byte) (int, error) {
+	k.s.conn.SetWriteDeadline(time.Now().Add(k.s.srv.cfg.WriteTimeout))
+	return k.s.conn.Write(p)
+}
+
+// startDrain unblocks a pending socket read so the session stops
+// accepting new frames; frames already read still execute.
 func (s *session) startDrain() {
 	s.drainOnce.Do(func() {
 		s.conn.SetReadDeadline(time.Now())
@@ -66,47 +103,16 @@ func (s *session) startDrain() {
 }
 
 func (s *session) run() {
-	go s.readLoop()
-	s.execLoop()
-}
-
-func (s *session) readLoop() {
-	defer close(s.queue)
+	defer s.finish()
 	for {
-		if s.srv.draining.Load() {
-			return
-		}
-		s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.ReadTimeout))
 		f, err := wire.ReadFrame(s.br, s.srv.cfg.MaxFrame)
 		if err != nil {
 			if err != io.EOF && !s.srv.draining.Load() {
-				s.srv.cfg.Logf("server: read %v: %v", s.conn.RemoteAddr(), err)
+				s.srv.cfg.Logf("server: session %v: %v", s.conn.RemoteAddr(), err)
 			}
 			return
 		}
-		s.queue <- f
-	}
-}
-
-func (s *session) execLoop() {
-	defer s.finish()
-	for {
-		// Flush buffered responses before blocking on an empty queue, so
-		// the tail of a pipelined batch reaches the client promptly.
-		select {
-		case f, ok := <-s.queue:
-			if !ok {
-				return
-			}
-			s.handle(f)
-		default:
-			s.flush()
-			f, ok := <-s.queue
-			if !ok {
-				return
-			}
-			s.handle(f)
-		}
+		s.handle(f)
 	}
 }
 
@@ -122,22 +128,27 @@ func (s *session) finish() {
 			}
 		}
 	}
-	s.flush()
+	if err := s.flush(); err != nil && !s.srv.draining.Load() {
+		s.srv.cfg.Logf("server: write %v: %v", s.conn.RemoteAddr(), err)
+	}
 	s.conn.Close()
 	s.srv.removeSession(s)
 }
 
-func (s *session) flush() {
-	s.conn.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
-	if err := s.bw.Flush(); err != nil && !s.srv.draining.Load() {
-		s.srv.cfg.Logf("server: write %v: %v", s.conn.RemoteAddr(), err)
+// flush writes the buffered replies, counting the flushes that carry
+// any. A failed write sticks in bw, so every later flush reports it.
+func (s *session) flush() error {
+	if s.bw.Buffered() > 0 {
+		s.srv.flushes.Add(1)
 	}
+	return s.bw.Flush()
 }
 
+// reply buffers one response frame. A write error sticks in bw and
+// surfaces at the next flush, which ends the session; until then
+// execution continues so frames already read still resolve (commit or
+// abort) server-side.
 func (s *session) reply(id uint64, status byte, payload []byte) {
-	s.conn.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
-	// Errors surface at the next flush; execution continues so queued
-	// transactions still resolve (commit or abort) server-side.
 	_ = wire.WriteFrame(s.bw, id, status, payload)
 }
 
@@ -153,16 +164,12 @@ func (s *session) handle(f wire.Frame) {
 	start := time.Now()
 	admitted := false
 	if !s.txExempt(f) && !sysExempt(f.Kind) {
-		timer := time.NewTimer(s.srv.cfg.AcquireTimeout)
-		select {
-		case s.srv.inflight <- struct{}{}:
-			timer.Stop()
-			admitted = true
-		case <-timer.C:
+		if !s.srv.admit() {
 			s.srv.busyRejected.Add(1)
 			s.reply(f.ID, wire.StatusBusy, errPayload("server at capacity, retry"))
 			return
 		}
+		admitted = true
 	}
 	s.srv.requests.Add(1)
 	status, payload := s.exec(f)

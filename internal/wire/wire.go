@@ -58,6 +58,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -273,28 +274,35 @@ type Frame struct {
 
 // WriteFrame encodes and writes one frame. It issues a single Write so
 // concurrent writers serialised by a mutex never interleave partial
-// frames.
+// frames. Into a *bufio.Writer with room for the frame, it encodes in
+// place in the writer's free buffer and allocates nothing.
 func WriteFrame(w io.Writer, id uint64, kind byte, payload []byte) error {
-	buf := make([]byte, headerLen+len(payload))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(8+1+len(payload)))
-	binary.BigEndian.PutUint64(buf[4:12], id)
-	buf[12] = kind
-	copy(buf[13:], payload)
+	n := headerLen + len(payload)
+	var buf []byte
+	if bw, ok := w.(*bufio.Writer); ok && bw.Available() >= n {
+		buf = bw.AvailableBuffer()
+	} else {
+		buf = make([]byte, 0, n)
+	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(8+1+len(payload)))
+	buf = binary.BigEndian.AppendUint64(buf, id)
+	buf = append(buf, kind)
+	buf = append(buf, payload...)
 	_, err := w.Write(buf)
 	return err
 }
 
 // ReadFrame reads one frame, rejecting frames larger than maxFrame
-// (≤ 0 selects MaxFrame).
+// (≤ 0 selects MaxFrame). From a *bufio.Reader it takes the length
+// prefix in place, so the frame body is its only allocation.
 func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
 	if maxFrame <= 0 {
 		maxFrame = MaxFrame
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := readLength(r)
+	if err != nil {
 		return Frame{}, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n < 9 {
 		return Frame{}, fmt.Errorf("%w: frame length %d below header", ErrBadRequest, n)
 	}
@@ -310,6 +318,29 @@ func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
 		Kind:    body[8],
 		Payload: body[9:],
 	}, nil
+}
+
+// readLength reads a frame's u32 length prefix with io.ReadFull's error
+// contract: io.EOF when the stream ends before it, io.ErrUnexpectedEOF
+// when it ends inside it.
+func readLength(r io.Reader) (int, error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		hdr, err := br.Peek(4)
+		if err != nil {
+			if err == io.EOF && len(hdr) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		n := int(binary.BigEndian.Uint32(hdr))
+		_, _ = br.Discard(4) // cannot fail: Peek just buffered these bytes
+		return n, nil
+	}
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, err
+	}
+	return int(binary.BigEndian.Uint32(hdr[:])), nil
 }
 
 // Builder appends wire-encoded values to a payload buffer.

@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
 	"testing"
+	"testing/iotest"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -145,4 +147,80 @@ func TestReaderHugeLength(t *testing.T) {
 	if err := r.Err(); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("Err = %v, want ErrBadRequest", err)
 	}
+}
+
+// TestWriteFrameZeroAllocs: into a bufio.Writer with room for the frame,
+// WriteFrame encodes in the writer's free buffer and allocates nothing.
+func TestWriteFrameZeroAllocs(t *testing.T) {
+	bw := bufio.NewWriterSize(io.Discard, 4096)
+	payload := NewBuilder(64).Uint64(42).String("tpcb_account").RID(RID{Page: 7, Slot: 3}).Bytes()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := WriteFrame(bw, 99, OpAddField, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("WriteFrame into a bufio.Writer: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestReadFrameOneAlloc: from a bufio.Reader, ReadFrame allocates the
+// frame body and nothing else.
+func TestReadFrameOneAlloc(t *testing.T) {
+	var stream bytes.Buffer
+	if err := WriteFrame(&stream, 99, OpAddField, make([]byte, 40)); err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(stream.Bytes())
+	br := bufio.NewReaderSize(src, 4096)
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(stream.Bytes())
+		br.Reset(src)
+		if _, err := ReadFrame(br, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("ReadFrame from a bufio.Reader: %.1f allocs, want 1 (the body)", allocs)
+	}
+}
+
+// readAll reads frames until the first error and returns them with it.
+func readAll(r io.Reader, maxFrame int) ([]Frame, error) {
+	var frames []Frame
+	for {
+		f, err := ReadFrame(r, maxFrame)
+		if err != nil {
+			return frames, err
+		}
+		frames = append(frames, f)
+	}
+}
+
+// FuzzReadFrame decodes the input as a frame stream twice: through a
+// *bufio.Reader, fed one byte per read so every length prefix and body
+// straddles refills (the Peek path), and through a plain io.Reader (the
+// io.ReadFull path). Both must yield the same frames and end on the
+// same error. The seed corpus in testdata/fuzz runs with go test.
+func FuzzReadFrame(f *testing.F) {
+	const maxFrame = 1 << 12
+	f.Fuzz(func(t *testing.T, data []byte) {
+		plain, plainErr := readAll(bytes.NewReader(data), maxFrame)
+		buffered, bufErr := readAll(bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(data)), 16), maxFrame)
+		if len(plain) != len(buffered) {
+			t.Fatalf("plain read %d frames, buffered %d", len(plain), len(buffered))
+		}
+		for i := range plain {
+			p, b := plain[i], buffered[i]
+			if p.ID != b.ID || p.Kind != b.Kind || !bytes.Equal(p.Payload, b.Payload) {
+				t.Fatalf("frame %d: plain %+v, buffered %+v", i, p, b)
+			}
+		}
+		if plainErr.Error() != bufErr.Error() || errors.Is(plainErr, io.EOF) != errors.Is(bufErr, io.EOF) {
+			t.Fatalf("plain ended on %v, buffered on %v", plainErr, bufErr)
+		}
+	})
 }
